@@ -1,12 +1,13 @@
 package repro.baselines
 
-import repro.core.{ConfigSpace, ConfigValues, ExecResult, Trial, TuningObjective}
+import repro.core.{ConfigSpace, ConfigValues, TrialLog, Tuner, TuningObjective, TuningResult}
 import repro.gp.{EiMcmc, GpKernel}
 import scala.util.Random
 
 /** Shared plain GP-BO loop used by the SOTA baselines (Tuneful's search
   * phase, GBO-RL's guided BO). Unlike LOCAT it is NOT datasize-aware, always
   * executes the full application, and searches whatever space it is given.
+  * Its trials are appended to the caller's `log`; the GP sees only those.
   *
   * @param candidateFilter optional predicate over decoded configs (GBO-RL's
   *                        analytical memory model prunes infeasible ones)
@@ -14,89 +15,53 @@ import scala.util.Random
   *                        non-significant parameters)
   */
 object BoSearch {
-  final case class State(trials: Vector[Trial], costSeconds: Double) {
-    def best: Trial = trials.minBy(_.result.totalSeconds)
-  }
-
-  def run(objective: TuningObjective, space: ConfigSpace, ds: Double, rng: Random,
+  def run(log: TrialLog, space: ConfigSpace, ds: Double, rng: Random,
           nInit: Int, nIter: Int,
           pinned: Map[String, Double] = Map.empty,
-          candidateFilter: ConfigValues => Boolean = _ => true,
-          gpTrainCap: Int = 80,
-          seedTrials: Vector[Trial] = Vector.empty): State = {
+          candidateFilter: ConfigValues => Boolean = _ => true): Unit = {
     val kernel = GpKernel.Matern52(ard = false)
-    var trials = seedTrials
-    var cost = seedTrials.map(_.costSeconds).sum
+    val first = log.trials.size
 
     def confOf(u: Array[Double]): ConfigValues = ConfigValues(space.decode(u).values ++ pinned)
-
-    def eval(u: Array[Double]): Unit = {
-      val conf = confOf(u)
-      val res = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-    }
+    def feasible(u: Array[Double]): Boolean = candidateFilter(confOf(u))
+    def eval(u: Array[Double]): Unit = log.run(confOf(u), ds)
 
     /** A random point satisfying the filter (bounded retries, then give up
       * on the constraint — never on the evaluation). */
     def filteredRandom(): Array[Double] = {
       var tries = 0
       var u = space.randomUnit(rng)
-      while (!candidateFilter(confOf(u)) && tries < 500) { u = space.randomUnit(rng); tries += 1 }
+      while (!feasible(u) && tries < 500) { u = space.randomUnit(rng); tries += 1 }
       u
     }
 
-    if (nInit > 0) space.lhsUnit(nInit, rng).foreach { u =>
-      eval(if (candidateFilter(confOf(u))) u else filteredRandom())
-    }
-    if (trials.isEmpty) eval(filteredRandom()) // GP needs at least one point
-
-    val unitOf = scala.collection.mutable.Map.empty[Int, Array[Double]]
-    // reconstruct units for GP training from configs (bools/ints are exact)
-    def unit(i: Int): Array[Double] = unitOf.getOrElseUpdate(i, space.encode(trials(i).conf))
+    if (nInit > 0) space.lhsUnit(nInit, rng).foreach(u => eval(if (feasible(u)) u else filteredRandom()))
+    if (log.trials.size == first) eval(filteredRandom()) // GP needs at least one point
 
     var it = 0
     while (it < nIter) {
-      val idx = trials.indices.takeRight(gpTrainCap)
-      val xs = idx.map(unit)
-      val ys = idx.map(i => math.log(trials(i).result.totalSeconds))
+      // GP training inputs are re-encoded from configs (bools/ints are exact)
+      val window = log.trials.drop(first).takeRight(EiMcmc.TrainWindow)
+      val xs = window.map(t => space.encode(t.conf))
+      val ys = window.map(t => math.log(t.result.totalSeconds))
       val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 6, thin = 2)
       val best = ys.min
       val incumbent = xs(ys.indexOf(best))
-      var bestU: Array[Double] = null
-      var bestEi = Double.NegativeInfinity
-      var tries = 0
-      while (tries < 160) {
-        val u = if (tries < 120) Array.fill(space.dim)(rng.nextDouble())
-                else incumbent.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08)))
-        if (candidateFilter(ConfigValues(space.decode(u).values ++ pinned))) {
-          val e = model.ei(u, best)
-          if (e > bestEi) { bestEi = e; bestU = u }
-        }
-        tries += 1
-      }
-      if (bestU == null) bestU = Array.fill(space.dim)(rng.nextDouble())
-      eval(bestU)
+      val pool = EiMcmc.candidatePool(space.dim, rng, nRandom = 120, Some(incumbent), nLocal = 40, Seq(0.08))
+      val pick = EiMcmc.argmaxEi(model, best, pool, feasible = feasible).map(_._1)
+      eval(pick.getOrElse(Array.fill(space.dim)(rng.nextDouble()))) // no feasible candidate: go random
       it += 1
     }
-    State(trials, cost)
   }
 }
 
 /** Pure random search — a sanity baseline for tests, not a paper comparator. */
-final class RandomSearch(budget: Int) extends repro.core.Tuner {
+final class RandomSearch(budget: Int) extends Tuner {
   override def name: String = s"Random($budget)"
-  override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): repro.core.TuningResult = {
+  override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
-    (0 until budget).foreach { _ =>
-      val conf = space.random(rng)
-      val res: ExecResult = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-    }
-    val best = trials.minBy(_.result.totalSeconds)
-    repro.core.TuningResult(name, best.conf, best.result.totalSeconds, cost, trials)
+    val log = new TrialLog(objective)
+    (0 until budget).foreach(_ => log.run(space.random(rng), ds))
+    log.result(name)
   }
 }

@@ -26,20 +26,13 @@ final class QTuneRl(
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val rng = new Random(seed)
-    var trials = Vector.empty[Trial]
-    var cost = 0.0
+    val log = new TrialLog(objective)
     var critic: Option[Gbrt] = None
 
-    def eval(u: Array[Double]): Double = {
-      val conf = space.decode(u)
-      val res = objective.run(conf, ds, None)
-      trials :+= Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-      cost += res.totalSeconds
-      res.totalSeconds
-    }
+    def eval(u: Array[Double]): Trial = log.run(space.decode(u), ds)
 
     var bestU = space.randomUnit(rng)
-    var bestT = eval(bestU)
+    var bestT = eval(bestU).result.totalSeconds
 
     var ep = 1
     while (ep < episodes) {
@@ -60,17 +53,16 @@ final class QTuneRl(
           case None => bestU.map(v => clamp(v + rng.nextGaussian() * noise))
         }
       val t = eval(action)
-      if (t < bestT) { bestT = t; bestU = space.encode(trials.last.conf) }
+      if (t.result.totalSeconds < bestT) { bestT = t.result.totalSeconds; bestU = space.encode(t.conf) }
       if (ep % criticRefit == 0) {
-        val xs = trials.map(tr => space.encode(tr.conf))
-        val ys = trials.map(tr => math.log(tr.result.totalSeconds))
+        val xs = log.trials.map(tr => space.encode(tr.conf))
+        val ys = log.trials.map(tr => math.log(tr.result.totalSeconds))
         critic = Some(Gbrt.fit(xs, ys, nTrees = 60, maxDepth = 3))
       }
       ep += 1
     }
 
-    val best = trials.minBy(_.result.totalSeconds)
-    TuningResult(name, best.conf, best.result.totalSeconds, cost, trials)
+    log.result(name)
   }
 
   private def clamp(v: Double): Double = math.min(1.0, math.max(0.0, v))

@@ -51,12 +51,11 @@ final class SparkClusterSimulator(
     val common = math.exp(rng.nextGaussian() * commonNoiseSd)
     val perQuery = ids.map { id =>
       val q = workload.profile(id)
-      val (t, _) = queryTime(q, conf, datasizeGB)
+      val (t, gc) = queryTime(q, conf, datasizeGB)
       val idioSd = queryNoiseSd + shuffleNoiseSd * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
-      id -> t * common * math.exp(rng.nextGaussian() * idioSd)
-    }.toMap
-    val gc = ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum * common
-    ExecResult(perQuery, gc)
+      (id -> t * common * math.exp(rng.nextGaussian() * idioSd), gc)
+    }
+    ExecResult(perQuery.map(_._1).toMap, perQuery.map(_._2).sum * common)
   }
 
   /** Noise-free total time of a query subset. */
@@ -213,8 +212,6 @@ final class SparkClusterSimulator(
     // spark.sql.retainGroupColumns changes result shape, not speed: no effect.
 
     val startupSec = 1.5 + execs * 0.002
-    val total = (q.serialSec + startupSec + computeSec * m + schedSec + gcSec) *
-      (1.0 + 0.0) // time unit: seconds
-    (total, gcSec)
+    (q.serialSec + startupSec + computeSec * m + schedSec + gcSec, gcSec)
   }
 }

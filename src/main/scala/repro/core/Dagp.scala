@@ -27,16 +27,16 @@ object Dagp {
 
   val DsScaleGB: Double = 1000.0
 
+  private val Kernel = GpKernel.Matern52(ard = false)
+
   def inputVec(features: Array[Double], datasizeGB: Double): Array[Double] =
     features :+ (datasizeGB / DsScaleGB)
 
   /** Fit the marginalized GP over (features, ds) → log seconds. */
-  def fit(samples: Seq[Sample], rng: Random,
-          kernel: GpKernel = GpKernel.Matern52(ard = false),
-          nMcmcSamples: Int = 4, nBurn: Int = 12): EiMcmc.Marginalized = {
+  def fit(samples: Seq[Sample], rng: Random, nMcmcSamples: Int = 4, nBurn: Int = 12): EiMcmc.Marginalized = {
     require(samples.nonEmpty, "DAGP needs at least one sample")
     val xs = samples.map(s => inputVec(s.features, s.datasizeGB))
     val ys = samples.map(s => math.log(s.seconds))
-    EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = nMcmcSamples, nBurn = nBurn)
+    EiMcmc.fitMarginalized(Kernel, xs, ys, rng, nSamples = nMcmcSamples, nBurn = nBurn)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.gp.{EiMcmc, GpKernel}
+import repro.gp.EiMcmc
 import scala.util.Random
 
 /** The LOCAT tuner (paper §3, Fig 3).
@@ -32,21 +32,20 @@ final class LocatSession(
     maxIter: Int = 60,
     nextMinIter: Int = 5,
     nextMaxIter: Int = 20,
-    gpTrainCap: Int = 80,
     useIicp: Boolean = true, // false = "AP" mode of Fig 15: tune all 38 parameters
 ) {
   require(nIicp <= nQcsa, "IICP samples are a prefix of the QCSA samples")
 
   private val rng = new Random(seed)
-  private val kernel = GpKernel.Matern52(ard = false)
+  private val log = new TrialLog(objective)
 
-  private final case class RqaSample(conf: ConfigValues, subUnit: Option[Array[Double]],
-                                     features: Array[Double], ds: Double, rqaSeconds: Double)
+  /** One DAGP observation of RQA time; `subUnit` is the search-subspace
+    * point that produced it (None for the QCSA full runs). */
+  private final case class RqaSample(conf: ConfigValues, subUnit: Option[Array[Double]], obs: Dagp.Sample)
 
-  private val fullRuns = scala.collection.mutable.ArrayBuffer.empty[(ConfigValues, Array[Double], ExecResult, Double)]
+  // phase-1 full runs with the unit-cube point each was decoded from
+  private val fullRuns = scala.collection.mutable.ArrayBuffer.empty[(Array[Double], Trial)]
   private val rqaSamples = scala.collection.mutable.ArrayBuffer.empty[RqaSample]
-  private val allTrials = scala.collection.mutable.ArrayBuffer.empty[Trial]
-  private var totalCost = 0.0
 
   private var qcsaResult: Option[Qcsa.Result] = None
   private var iicpModel: Option[Iicp.Model] = None
@@ -57,51 +56,33 @@ final class LocatSession(
   /** IICP outcome (available after tuneInitial). */
   def iicp: Iicp.Model = iicpModel.getOrElse(throw new IllegalStateException("run tuneInitial first"))
   /** Cumulative execution seconds paid so far across all tuning phases. */
-  def cumulativeOptimizationSeconds: Double = totalCost
+  def cumulativeOptimizationSeconds: Double = log.cost
+
+  /** Lowest log time among `obs` and the index of its first occurrence. */
+  private def bestLogTime(obs: Seq[Dagp.Sample]): (Double, Int) = {
+    val ys = obs.map(s => math.log(s.seconds))
+    val best = ys.min
+    (best, ys.indexOf(best))
+  }
 
   // ---------------------------------------------------------------- phase 1
 
-  private def runFull(conf: ConfigValues, u: Array[Double], ds: Double): ExecResult = {
-    val res = objective.run(conf, ds, None)
-    fullRuns += ((conf, u, res, ds))
-    totalCost += res.totalSeconds
-    allTrials += Trial(conf, ds, res, res.totalSeconds, fullApp = true)
-    res
-  }
+  private def runFull(u: Array[Double], ds: Double): Unit =
+    fullRuns += ((u, log.run(space.decode(u), ds)))
 
   private def collectQcsaSamples(ds: Double): Unit = {
     // 3 LHS start points (paper §3.4)
-    space.lhsUnit(3, rng).foreach(u => runFull(space.decode(u), u, ds))
-    // BO with DAGP over the raw full space until nQcsa executions exist
+    space.lhsUnit(3, rng).foreach(runFull(_, ds))
+    // BO with DAGP over the raw full space until nQcsa executions exist;
+    // candidates live in conf-space, the ds coordinate pinned to the current ds
     while (fullRuns.size < nQcsa) {
-      val xs = fullRuns.map { case (_, u, _, d) => Dagp.inputVec(u, d) }.toSeq
-      val ys = fullRuns.map { case (_, _, r, _) => math.log(r.totalSeconds) }.toSeq
-      val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 3, nBurn = 8)
-      val best = ys.min
-      val incumbentU = fullRuns(fullRuns.indices.minBy(i => ys(i)))._2
-      val d = space.dim
-      // candidates over conf-space; ds coordinate is pinned to the current ds
-      val (cand, _) = argmaxEiWithPinnedDs(model, best, d, ds, Some(incumbentU))
-      runFull(space.decode(cand), cand, ds)
+      val obs = fullRuns.map { case (u, t) => Dagp.Sample(u, t.datasizeGB, t.result.totalSeconds) }.toVector
+      val model = Dagp.fit(obs, rng, nMcmcSamples = 3, nBurn = 8)
+      val (best, i) = bestLogTime(obs)
+      val pool = EiMcmc.candidatePool(space.dim, rng, nRandom = 192, Some(obs(i).features),
+        nLocal = 48, Seq(0.08))
+      runFull(EiMcmc.argmaxEi(model, best, pool, Dagp.inputVec(_, ds)).fold(pool.head)(_._1), ds)
     }
-  }
-
-  private def argmaxEiWithPinnedDs(model: EiMcmc.Marginalized, best: Double, d: Int,
-                                   ds: Double, incumbent: Option[Array[Double]],
-                                   nRandom: Int = 192, nLocal: Int = 48): (Array[Double], Double) = {
-    val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    var i = 0
-    while (i < nRandom) { pool += Array.fill(d)(rng.nextDouble()); i += 1 }
-    incumbent.foreach { inc =>
-      var j = 0
-      while (j < nLocal) { pool += inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * 0.08))); j += 1 }
-    }
-    var bestX = pool.head; var bestEi = Double.NegativeInfinity
-    pool.foreach { c =>
-      val e = model.ei(Dagp.inputVec(c, ds), best)
-      if (e > bestEi) { bestEi = e; bestX = c }
-    }
-    (bestX, bestEi)
   }
 
   // ---------------------------------------------------------------- phase 2
@@ -116,11 +97,10 @@ final class LocatSession(
   private def featuresOfSubUnit(u: Array[Double]): Array[Double] =
     if (useIicp) iicp.featuresOfSubspaceUnit(u) else u
 
-  private def seedRqaSamplesFromFullRuns(): Unit = {
-    val rqa = qcsa.rqa
-    fullRuns.foreach { case (conf, _, res, d) =>
-      rqaSamples += RqaSample(conf, None, featuresOfConf(conf), d, rqaSecondsOf(res, rqa))
-    }
+  /** DAGP over the most recent RQA observations, and those observations. */
+  private def fitRqaWindow(): (Vector[RqaSample], EiMcmc.Marginalized) = {
+    val window = rqaSamples.takeRight(EiMcmc.TrainWindow).toVector
+    (window, Dagp.fit(window.map(_.obs), rng, nMcmcSamples = 4, nBurn = 10))
   }
 
   private def boOnRqa(ds: Double, itMin: Int, itMax: Int): Unit = {
@@ -129,43 +109,22 @@ final class LocatSession(
     var iter = 0
     var continue = true
     while (continue) {
-      val window = rqaSamples.takeRight(gpTrainCap)
-      val xs = window.map(s => Dagp.inputVec(s.features, s.ds)).toSeq
-      val ys = window.map(s => math.log(s.rqaSeconds)).toSeq
-      val model = EiMcmc.fitMarginalized(kernel, xs, ys, rng, nSamples = 4, nBurn = 10)
-      val best = ys.min
-      val incumbentSub = window.zip(ys).minBy(_._2)._1.subUnit
-
+      val (window, model) = fitRqaWindow()
+      val (best, i) = bestLogTime(window.map(_.obs))
       // candidate pool in the important-parameter subspace: global random
       // draws plus coarse and fine perturbations of the incumbent
-      val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-      var i = 0
-      while (i < 320) { pool += Array.fill(sub.dim)(rng.nextDouble()); i += 1 }
-      incumbentSub.foreach { inc =>
-        var j = 0
-        while (j < 96) {
-          val sigma = if (j % 2 == 0) 0.08 else 0.025
-          pool += inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * sigma)))
-          j += 1
-        }
-      }
-      var bestU = pool.head; var bestEi = Double.NegativeInfinity
-      pool.foreach { u =>
-        val e = model.ei(Dagp.inputVec(featuresOfSubUnit(u), ds), best)
-        if (e > bestEi) { bestEi = e; bestU = u }
-      }
+      val pool = EiMcmc.candidatePool(sub.dim, rng, nRandom = 320, window(i).subUnit,
+        nLocal = 96, Seq(0.08, 0.025))
+      val (u, ei) = EiMcmc.argmaxEi(model, best, pool, c => Dagp.inputVec(featuresOfSubUnit(c), ds))
+        .getOrElse((pool.head, Double.NegativeInfinity))
 
       // evaluate: important params from the candidate, the rest pinned
-      val subConf = sub.decode(bestU)
-      val conf = ConfigValues(pinnedBase.get.values ++ subConf.values)
-      val res = objective.run(conf, ds, Some(rqa))
-      val rqaSec = rqaSecondsOf(res, rqa)
-      rqaSamples += RqaSample(conf, Some(bestU), featuresOfConf(conf), ds, rqaSec)
-      totalCost += res.totalSeconds
-      allTrials += Trial(conf, ds, res, res.totalSeconds, fullApp = false)
+      val conf = ConfigValues(pinnedBase.get.values ++ sub.decode(u).values)
+      val t = log.run(conf, ds, Some(rqa))
+      rqaSamples += RqaSample(conf, Some(u), Dagp.Sample(featuresOfConf(conf), ds, rqaSecondsOf(t.result, rqa)))
 
       iter += 1
-      continue = iter < itMax && (iter < itMin || bestEi >= Dagp.EiStopThreshold)
+      continue = iter < itMax && (iter < itMin || ei >= Dagp.EiStopThreshold)
     }
   }
 
@@ -173,28 +132,19 @@ final class LocatSession(
     // Pick the configuration whose DAGP posterior-mean RQA time at this
     // datasize is lowest: the surrogate denoises single observations, so
     // LOCAT sidesteps the winner's curse of argmin-over-noisy-runs.
-    val atDs = rqaSamples.filter(_.ds == ds)
-    val window = rqaSamples.takeRight(gpTrainCap)
-    val model = EiMcmc.fitMarginalized(kernel,
-      window.map(s => Dagp.inputVec(s.features, s.ds)).toSeq,
-      window.map(s => math.log(s.rqaSeconds)).toSeq, rng, nSamples = 4, nBurn = 10)
-    val best = atDs.minBy(s => model.predict(Dagp.inputVec(s.features, ds))._1)
-    val verify = objective.run(best.conf, ds, None)
-    totalCost += verify.totalSeconds
-    allTrials += Trial(best.conf, ds, verify, verify.totalSeconds, fullApp = true)
-    TuningResult("LOCAT", best.conf, verify.totalSeconds, totalCost, allTrials.toSeq)
+    val (_, model) = fitRqaWindow()
+    val best = rqaSamples.filter(_.obs.datasizeGB == ds)
+      .minBy(s => model.predict(Dagp.inputVec(s.obs.features, ds))._1)
+    log.result("LOCAT", log.run(best.conf, ds))
   }
 
   /** Full LOCAT procedure for the first (or only) datasize. */
   def tuneInitial(ds: Double): TuningResult = {
     if (qcsaResult.nonEmpty) throw new IllegalStateException("tuneInitial may only run once per session")
     collectQcsaSamples(ds)
-    val perQueryMaps = fullRuns.map(_._3.perQuerySeconds).toSeq
-    qcsaResult = Some(Qcsa.analyze(perQueryMaps, objective.queries))
-    if (useIicp) {
-      val iicpSamples = fullRuns.take(nIicp).map { case (c, _, r, _) => (c, r.totalSeconds) }.toSeq
-      iicpModel = Some(Iicp.fit(space, iicpSamples))
-    }
+    val full = fullRuns.map(_._2).toVector
+    qcsaResult = Some(Qcsa.analyze(full.map(_.result.perQuerySeconds), objective.queries))
+    if (useIicp) iicpModel = Some(Iicp.fit(space, full.take(nIicp).map(t => (t.conf, t.result.totalSeconds))))
     // Non-important parameters stay at their Spark defaults — LOCAT only
     // tunes the important ones (§3.3); tuning the rest can counteract the
     // gains (§5.6). Resource-sizing parameters are the exception: their
@@ -204,10 +154,14 @@ final class LocatSession(
     val resourceFamily = space.params.filter(p =>
       p.resource || p.name == "spark.executor.instances" || p.name == "spark.default.parallelism")
       .map(_.name).toSet
-    val bestSeen = fullRuns.minBy(_._3.totalSeconds)._1
+    val bestSeen = full.minBy(_.result.totalSeconds).conf
     pinnedBase = Some(ConfigValues(space.defaults.values ++
       bestSeen.values.view.filterKeys(resourceFamily).toMap))
-    seedRqaSamplesFromFullRuns()
+    val rqa = qcsa.rqa
+    full.foreach { t =>
+      rqaSamples += RqaSample(t.conf, None,
+        Dagp.Sample(featuresOfConf(t.conf), t.datasizeGB, rqaSecondsOf(t.result, rqa)))
+    }
     boOnRqa(ds, minIter, maxIter)
     finishAtDs(ds)
   }
@@ -217,11 +171,11 @@ final class LocatSession(
     */
   def tuneNext(ds: Double): TuningResult = {
     if (qcsaResult.isEmpty) throw new IllegalStateException("tuneNext requires tuneInitial")
-    val before = totalCost
+    val before = log.cost
     boOnRqa(ds, nextMinIter, nextMaxIter)
     val r = finishAtDs(ds)
     // report only the incremental cost of this datasize
-    r.copy(optimizationSeconds = totalCost - before)
+    r.copy(optimizationSeconds = log.cost - before)
   }
 }
 

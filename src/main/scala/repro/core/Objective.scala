@@ -28,11 +28,42 @@ trait TuningObjective {
   def workloadName: String
 }
 
-/** One observed execution during tuning. `costSeconds` is the wall time the
-  * tuner *paid* for this observation (the RQA costs less than the full app).
+/** One observed execution during tuning. */
+final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResult, fullApp: Boolean) {
+  /** Wall time the tuner *paid* for this observation (the RQA costs less
+    * than the full app). */
+  def costSeconds: Double = result.totalSeconds
+}
+
+/** A tuner's execution history: the one place that runs the objective and
+  * records what each execution cost.
   */
-final case class Trial(conf: ConfigValues, datasizeGB: Double, result: ExecResult,
-                       costSeconds: Double, fullApp: Boolean)
+final class TrialLog(objective: TuningObjective) {
+  private var all = Vector.empty[Trial]
+  private var paid = 0.0
+
+  /** Execute once, record the trial and its cost. */
+  def run(conf: ConfigValues, ds: Double, subset: Option[Seq[String]] = None): Trial =
+    record(Trial(conf, ds, objective.run(conf, ds, subset), fullApp = subset.isEmpty))
+
+  /** Record a trial already paid for elsewhere (e.g. by a wrapped tuner). */
+  def record(t: Trial): Trial = {
+    all :+= t
+    paid += t.costSeconds
+    t
+  }
+
+  /** Every recorded trial, in execution order. */
+  def trials: Vector[Trial] = all
+  /** Total execution seconds paid, in trial order. */
+  def cost: Double = paid
+  /** Fastest observed trial (first on ties). */
+  def best: Trial = all.minBy(_.result.totalSeconds)
+
+  /** Result that recommends `chosen`, with the whole history and its cost. */
+  def result(tunerName: String, chosen: Trial = best): TuningResult =
+    TuningResult(tunerName, chosen.conf, chosen.result.totalSeconds, cost, all)
+}
 
 /** Outcome of a tuning session.
   *

@@ -24,11 +24,11 @@ object EiMcmc {
     }
 
     /** Expected improvement (minimization) averaged over hyper samples. */
-    def ei(x: Array[Double], best: Double, xi: Double = 0.0): Double = {
+    def ei(x: Array[Double], best: Double): Double = {
       var tot = 0.0
       gps.foreach { gp =>
         val (mu, sd) = gp.predict(x)
-        val imp = best - mu - xi
+        val imp = best - mu
         tot += (if (sd < 1e-12) math.max(imp, 0.0)
                 else imp * Stats.normCdf(imp / sd) + sd * Stats.normPdf(imp / sd))
       }
@@ -40,11 +40,10 @@ object EiMcmc {
     *
     * `nBurn` steps of burn-in, then `thin`-spaced draws. Each likelihood
     * evaluation refits a Cholesky (O(n³)), so callers cap the training-set
-    * size (the tuners keep n ≤ ~120).
+    * size to the last [[TrainWindow]] observations.
     */
   def fitMarginalized(kernel: GpKernel, x: Seq[Array[Double]], y: Seq[Double], rng: Random,
-                      nSamples: Int = 5, nBurn: Int = 15, thin: Int = 3,
-                      proposalSd: Double = 0.25): Marginalized = {
+                      nSamples: Int = 5, nBurn: Int = 15, thin: Int = 3): Marginalized = {
     val d = x.head.length
     var current = GaussianProcess.defaultLogHypers(kernel, d)
     var currentGp = GaussianProcess.fit(kernel, x, y, current)
@@ -53,7 +52,7 @@ object EiMcmc {
     val totalSteps = nBurn + nSamples * thin
     var step = 0
     while (step < totalSteps) {
-      val proposal = current.map(h => h + rng.nextGaussian() * proposalSd)
+      val proposal = current.map(h => h + rng.nextGaussian() * 0.25) // random-walk step in log-hyper space
       val tryGp =
         try Some(GaussianProcess.fit(kernel, x, y, proposal))
         catch { case _: IllegalStateException => None }
@@ -76,30 +75,40 @@ object EiMcmc {
     gp.logMarginalLikelihood + prior
   }
 
-  /** Maximize EI over a random candidate pool plus local perturbations of the
-    * incumbent. Returns (bestCandidate, itsEI).
+  /** Training-set cap of every BO loop: fit on the most recent observations. */
+  val TrainWindow: Int = 80
+
+  /** EI candidate pool in the unit cube: `nRandom` uniform points, then —
+    * given an incumbent — `nLocal` Gaussian steps around it, clamped to
+    * [0,1], the j-th step with standard deviation `sigmas(j % sigmas.size)`.
     */
-  def argmaxEi(model: Marginalized, best: Double, d: Int, rng: Random,
-               incumbent: Option[Array[Double]] = None,
-               nRandom: Int = 256, nLocal: Int = 64): (Array[Double], Double) = {
-    val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    var i = 0
-    while (i < nRandom) { pool += Array.fill(d)(rng.nextDouble()); i += 1 }
-    incumbent.foreach { inc =>
-      var j = 0
-      while (j < nLocal) {
-        pool += inc.map(v => clamp01(v + rng.nextGaussian() * 0.08))
-        j += 1
+  def candidatePool(d: Int, rng: Random, nRandom: Int, incumbent: Option[Array[Double]],
+                    nLocal: Int, sigmas: Seq[Double]): Vector[Array[Double]] = {
+    val random = Vector.fill(nRandom)(Array.fill(d)(rng.nextDouble()))
+    val local = incumbent.fold(Vector.empty[Array[Double]]) { inc =>
+      Vector.tabulate(nLocal) { j =>
+        val sigma = sigmas(j % sigmas.size)
+        inc.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * sigma)))
       }
     }
-    var bestX = pool.head
-    var bestEi = Double.NegativeInfinity
-    pool.foreach { c =>
-      val e = model.ei(c, best)
-      if (e > bestEi) { bestEi = e; bestX = c }
-    }
-    (bestX, bestEi)
+    random ++ local
   }
 
-  private def clamp01(v: Double): Double = math.min(1.0, math.max(0.0, v))
+  /** The `feasible` pool member with the highest EI at `toInput(candidate)`,
+    * and that EI; the first strict maximum wins. `None` when no feasible
+    * candidate has an EI above −∞.
+    */
+  def argmaxEi(model: Marginalized, best: Double, pool: Seq[Array[Double]],
+               toInput: Array[Double] => Array[Double] = identity,
+               feasible: Array[Double] => Boolean = _ => true): Option[(Array[Double], Double)] = {
+    var bestX: Array[Double] = null
+    var bestEi = Double.NegativeInfinity
+    pool.foreach { c =>
+      if (feasible(c)) {
+        val e = model.ei(toInput(c), best)
+        if (e > bestEi) { bestEi = e; bestX = c }
+      }
+    }
+    Option(bestX).map(x => (x, bestEi))
+  }
 }

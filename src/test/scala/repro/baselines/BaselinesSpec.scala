@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ConfigValues, TestObjectives}
+import repro.core.{ConfigValues, TestObjectives, TrialLog}
 import scala.util.Random
 
 class BaselinesSpec extends AnyFunSuite {
@@ -91,8 +91,10 @@ class BaselinesSpec extends AnyFunSuite {
     val obj = TestObjectives.synthetic(8)
     val sub = obj.space.subspace(Seq("knob.one", "knob.two"))
     val pinned = Map("noise.a" -> 7.0, "noise.b" -> 0.25, "noise.c" -> 0.0, "noise.d" -> 150.0)
-    val st = BoSearch.run(obj, sub, 100.0, new Random(8), nInit = 3, nIter = 5, pinned = pinned)
-    st.trials.foreach { t =>
+    val log = new TrialLog(obj)
+    BoSearch.run(log, sub, 100.0, new Random(8), nInit = 3, nIter = 5, pinned = pinned)
+    assert(log.trials.size == 8)
+    log.trials.foreach { t =>
       assert(t.conf("noise.a") == 7.0 && t.conf("noise.d") == 150.0)
     }
   }
@@ -100,8 +102,20 @@ class BaselinesSpec extends AnyFunSuite {
   test("BoSearch candidateFilter is honored") {
     val obj = TestObjectives.synthetic(9)
     val filter = (c: ConfigValues) => c("knob.one") <= 50.0
-    val st = BoSearch.run(obj, obj.space, 100.0, new Random(9), nInit = 0, nIter = 6,
-      candidateFilter = filter)
-    st.trials.foreach(t => assert(t.conf("knob.one") <= 50.0))
+    val log = new TrialLog(obj)
+    BoSearch.run(log, obj.space, 100.0, new Random(9), nInit = 0, nIter = 6, candidateFilter = filter)
+    assert(log.trials.size == 7) // one random start point + 6 iterations
+    log.trials.foreach(t => assert(t.conf("knob.one") <= 50.0))
+  }
+
+  test("BoSearch appends its trials after the caller's in a shared log") {
+    val obj = TestObjectives.synthetic(10)
+    val log = new TrialLog(obj)
+    val rng = new Random(10)
+    (0 until 4).foreach(_ => log.run(obj.space.random(rng), 100.0))
+    val before = log.trials
+    BoSearch.run(log, obj.space, 100.0, rng, nInit = 2, nIter = 3)
+    assert(log.trials.size == 9 && log.trials.take(4) == before)
+    assert(math.abs(log.cost - log.trials.map(_.costSeconds).sum) < 1e-9)
   }
 }

@@ -51,6 +51,23 @@ class LocatSpec extends AnyFunSuite {
     assert(math.abs(r.optimizationSeconds - r.trials.map(_.costSeconds).sum) < 1e-9)
   }
 
+  test("tuneNext keeps trials cumulative and reports the cost of the trials it appended") {
+    val obj = freshObjective(10)
+    val session = new LocatSession(obj, obj.space, seed = 10, nQcsa = 12, nIicp = 10,
+      minIter = 3, maxIter = 6, nextMinIter = 2, nextMaxIter = 4)
+    var seen = session.tuneInitial(100.0).trials
+    Seq(200.0, 300.0).foreach { ds =>
+      val r = session.tuneNext(ds)
+      assert(r.trials.take(seen.size) == seen, "earlier trials are kept, in order")
+      val appended = r.trials.drop(seen.size)
+      assert(appended.nonEmpty && appended.forall(_.datasizeGB == ds))
+      assert(math.abs(r.optimizationSeconds - appended.map(_.costSeconds).sum) < 1e-9 * r.optimizationSeconds)
+      seen = r.trials
+    }
+    val total = seen.map(_.costSeconds).sum
+    assert(math.abs(session.cumulativeOptimizationSeconds - total) < 1e-9 * total)
+  }
+
   test("stop condition: phase 2 runs at least minIter and at most maxIter RQA iterations") {
     val obj = freshObjective(6)
     val session = new LocatSession(obj, obj.space, seed = 6, nQcsa = 15, nIicp = 12,

@@ -150,14 +150,58 @@ class GpSpec extends AnyFunSuite {
     assert(model.gps.size == 4)
   }
 
-  test("argmaxEi returns a point in the unit cube with non-negative EI") {
+  test("candidatePool: nRandom uniform points, then clamped steps around the incumbent, sigmas in turn") {
+    val inc = Array(0.02, 0.98, 0.5)
+    val sigmas = Seq(0.3, 0.01)
+    val pool = EiMcmc.candidatePool(3, new Random(9), nRandom = 5, Some(inc), nLocal = 40, sigmas)
+    assert(pool.size == 45)
+    assert(pool.forall(c => c.length == 3 && c.forall(v => v >= 0.0 && v <= 1.0)))
+    assert(pool.drop(5).exists(_.exists(v => v == 0.0 || v == 1.0)), "steps near the edges are clamped")
+    // same draws, same order: uniform points first, then step j with sigmas(j % 2)
     val rng = new Random(9)
+    val random = Seq.fill(5)(Seq.fill(3)(rng.nextDouble()))
+    val local = (0 until 40).map(j => inc.toSeq.map(v => math.min(1.0, math.max(0.0, v + rng.nextGaussian() * sigmas(j % 2)))))
+    assert(pool.map(_.toSeq) == random ++ local)
+    assert(EiMcmc.candidatePool(3, new Random(9), nRandom = 5, None, nLocal = 40, sigmas).map(_.toSeq) == random)
+  }
+
+  private def quadraticModel(rng: Random): (EiMcmc.Marginalized, Double) = {
     val xs = (0 until 10).map(_ => Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => (x(0) - 0.3) * (x(0) - 0.3) + x(1))
-    val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 5)
-    val (cand, ei) = EiMcmc.argmaxEi(model, ys.min, 2, rng, incumbent = Some(xs(ys.indexOf(ys.min))))
+    (EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 5), ys.min)
+  }
+
+  test("argmaxEi returns a point in the unit cube with non-negative EI") {
+    val rng = new Random(9)
+    val (model, best) = quadraticModel(rng)
+    val pool = EiMcmc.candidatePool(2, rng, nRandom = 256, Some(Array(0.0, 1.0)), nLocal = 64, Seq(0.08))
+    val (cand, ei) = EiMcmc.argmaxEi(model, best, pool).get
     assert(cand.forall(v => v >= 0.0 && v <= 1.0))
     assert(ei >= 0.0)
+  }
+
+  test("argmaxEi returns None when feasible rejects every candidate") {
+    val rng = new Random(11)
+    val (model, best) = quadraticModel(rng)
+    val pool = EiMcmc.candidatePool(2, rng, nRandom = 20, None, nLocal = 0, Seq(0.08))
+    assert(EiMcmc.argmaxEi(model, best, pool, feasible = _ => false).isEmpty)
+    assert(EiMcmc.argmaxEi(model, best, Seq.empty).isEmpty)
+  }
+
+  test("argmaxEi scores toInput(candidate), skips infeasible ones, and the first maximum wins on ties") {
+    val rng = new Random(12)
+    val (model, best) = quadraticModel(rng)
+    val pool = EiMcmc.candidatePool(2, rng, nRandom = 30, None, nLocal = 0, Seq(0.08))
+    val (top, topEi) = EiMcmc.argmaxEi(model, best, pool).get
+    assert(topEi == pool.map(model.ei(_, best)).max && topEi >= 0.0)
+    val twin = top.clone()
+    val tied = pool.filterNot(_ eq top) ++ Seq(top, twin)
+    assert(EiMcmc.argmaxEi(model, best, tied).get._1 eq top)
+    assert(EiMcmc.argmaxEi(model, best, tied, feasible = c => !(c eq top)).get._1 eq twin)
+    // toInput maps a 1-d candidate onto the model's 2-d input
+    val oneD = Seq(Array(0.9), Array(0.3))
+    val (x, e) = EiMcmc.argmaxEi(model, best, oneD, c => c :+ 0.0).get
+    assert((x eq oneD.maxBy(c => model.ei(c :+ 0.0, best))) && e == model.ei(x :+ 0.0, best))
   }
 
   test("BO loop with EI-MCMC converges on a 2-d quadratic") {
@@ -167,7 +211,8 @@ class GpSpec extends AnyFunSuite {
     var ys = xs.map(f).toVector
     for (_ <- 0 until 15) {
       val model = EiMcmc.fitMarginalized(m52, xs, ys, rng, nSamples = 3, nBurn = 6)
-      val (cand, _) = EiMcmc.argmaxEi(model, ys.min, 2, rng, incumbent = Some(xs(ys.indexOf(ys.min))))
+      val pool = EiMcmc.candidatePool(2, rng, nRandom = 256, Some(xs(ys.indexOf(ys.min))), nLocal = 64, Seq(0.08))
+      val (cand, _) = EiMcmc.argmaxEi(model, ys.min, pool).get
       xs :+= cand; ys :+= f(cand)
     }
     assert(ys.min < 0.02, s"BO best ${ys.min}") // random search would rarely get here in 18 evals
