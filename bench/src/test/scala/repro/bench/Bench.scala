@@ -15,15 +15,12 @@ import scala.collection.concurrent.TrieMap
   *   DAC      = 240 model samples + 5 GA-candidate validations  (≈ 245 runs)
   *   GBO-RL   = 5 init + 140 guided-BO iterations               (≈ 145 runs)
   *   QTune    = 320 RL episodes                                 (≈ 320 runs)
-  *   LOCAT    = 30 QCSA/IICP runs + ≤40 RQA-only iterations + 1 verification
+  *   LOCAT    = 30 QCSA/IICP runs + ≤60 RQA-only iterations + 1 verification
   */
 object Bench {
   val Seed = 42L
 
   val clusters: Seq[ClusterProfile] = Seq(ClusterProfile.arm, ClusterProfile.x86)
-
-  def workload(name: String): SimWorkload =
-    Workloads.all.find(_.name == name).getOrElse(sys.error(s"unknown workload $name"))
 
   def space(c: ClusterProfile): ConfigSpace = ConfigSpace.full(c.armRanges)
 
@@ -56,17 +53,17 @@ object Bench {
 
   def run(tunerName: String, workloadName: String, c: ClusterProfile, ds: Double): Cell =
     cache.getOrElseUpdate((tunerName, workloadName, c.name, ds), {
-      val w = workload(workloadName)
-      val sim = new SparkClusterSimulator(w, c, Seed)
+      val sim = new SparkClusterSimulator(Workloads.byName(workloadName), c, Seed)
       val r = tuner(tunerName, c).tune(sim, space(c), ds, Seed)
+      val clean = sim.expectedTotal(r.bestConf, ds)
       Console.err.println(f"[bench] $tunerName%-18s $workloadName%-11s ${c.name}%-9s ${ds.toInt}%4dGB " +
-        f"opt=${r.optimizationSeconds / 3600.0}%7.2fh best=${sim.expectedTotal(r.bestConf, ds)}%8.1fs")
-      Cell(r, sim.expectedTotal(r.bestConf, ds), sim.expectedGc(r.bestConf, ds))
+        f"opt=${r.optimizationSeconds / 3600.0}%7.2fh best=$clean%8.1fs")
+      Cell(r, clean, sim.expectedGc(r.bestConf, ds))
     })
 
   /** Noise-free time/GC of the Spark-default configuration. */
   def defaultTime(workloadName: String, c: ClusterProfile, ds: Double): (Double, Double) = {
-    val sim = new SparkClusterSimulator(workload(workloadName), c, Seed)
+    val sim = new SparkClusterSimulator(Workloads.byName(workloadName), c, Seed)
     val d = space(c).defaults
     (sim.expectedTotal(d, ds), sim.expectedGc(d, ds))
   }
@@ -77,8 +74,7 @@ object Bench {
 
   def locatOnline(workloadName: String, c: ClusterProfile): OnlineRun =
     onlineCache.getOrElseUpdate((workloadName, c.name), {
-      val w = workload(workloadName)
-      val sim = new SparkClusterSimulator(w, c, Seed)
+      val sim = new SparkClusterSimulator(Workloads.byName(workloadName), c, Seed)
       val session = new LocatSession(sim, space(c), Seed)
       val sizes = Workloads.datasizesGB
       val first = session.tuneInitial(sizes.head)

@@ -20,7 +20,7 @@ class Fig06KernelChoiceBench extends AnyFunSuite {
   private def kernelSd(workloadName: String, kernel: KpcaKernel, seed: Long): Double = {
     val c = ClusterProfile.arm
     val space = ConfigSpace.full(c.armRanges)
-    val sim = new SparkClusterSimulator(Bench.workload(workloadName), c, seed)
+    val sim = new SparkClusterSimulator(Workloads.byName(workloadName), c, seed)
     val rng = new Random(seed)
     val samples = (1 to 30).map { _ =>
       val conf = space.random(rng)

@@ -16,7 +16,7 @@ class Fig07NQcsaBench extends AnyFunSuite {
     val space = ConfigSpace.full(c.armRanges)
     println("== Fig 7: mean CV vs number of QCSA samples ==")
     Seq("TPC-DS", "TPC-H").foreach { wName =>
-      val w = Bench.workload(wName)
+      val w = Workloads.byName(wName)
       val sim = new SparkClusterSimulator(w, c, Bench.Seed)
       val rng = new Random(Bench.Seed)
       val runs = (1 to 50).map(_ => sim.run(space.random(rng), 100.0).perQuerySeconds)

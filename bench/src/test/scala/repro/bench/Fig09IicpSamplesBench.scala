@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.core.{ConfigSpace, Iicp}
 import scala.util.Random
 
@@ -16,7 +16,7 @@ class Fig09IicpSamplesBench extends AnyFunSuite {
   private val space = ConfigSpace.full(c.armRanges)
 
   test("Fig 9: CPS-kept parameter count stabilizes as N_IICP grows (TPC-DS)") {
-    val sim = new SparkClusterSimulator(Bench.workload("TPC-DS"), c, Bench.Seed)
+    val sim = new SparkClusterSimulator(Workloads.byName("TPC-DS"), c, Bench.Seed)
     val rng = new Random(Bench.Seed)
     val samples = (1 to 50).map { _ =>
       val conf = space.random(rng)
@@ -38,7 +38,7 @@ class Fig09IicpSamplesBench extends AnyFunSuite {
   test("Fig 10: CPS keeps a strict subset; CPE extracts about a third of it (all workloads)") {
     println("== Fig 10: #parameters after CPS and CPE ==")
     Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation").foreach { wName =>
-      val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed)
+      val sim = new SparkClusterSimulator(Workloads.byName(wName), c, Bench.Seed)
       val rng = new Random(Bench.Seed)
       val samples = (1 to 20).map { _ =>
         val conf = space.random(rng)

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.core.ConfigSpace
 import repro.ml._
 import repro.stats.Stats
@@ -20,7 +20,7 @@ class Fig16ModelAccuracyBench extends AnyFunSuite {
     val perModelErrors = scala.collection.mutable.Map.empty[String, Vector[Double]].withDefaultValue(Vector())
 
     Seq("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation").foreach { wName =>
-      val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed)
+      val sim = new SparkClusterSimulator(Workloads.byName(wName), c, Bench.Seed)
       val rng = new Random(Bench.Seed)
       val all = (1 to 150).map { _ =>
         val conf = space.random(rng)

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterProfile, SparkClusterSimulator}
+import repro.cluster.{ClusterProfile, SparkClusterSimulator, Workloads}
 import repro.core.{ConfigSpace, ConfigValues, Iicp}
 import repro.ml.Gbrt
 import repro.stats.Stats
@@ -37,7 +37,7 @@ class Fig17IicpVsGbrtBench extends AnyFunSuite {
       // average over 3 selection seeds — 20 noisy samples make a single
       // selection round fluky for both methods
       val perSeed = (0 until 3).map { off =>
-        val sim = new SparkClusterSimulator(Bench.workload(wName), c, Bench.Seed + off)
+        val sim = new SparkClusterSimulator(Workloads.byName(wName), c, Bench.Seed + off)
         val rng = new Random(Bench.Seed + off)
         val samples = (1 to 20).map { _ =>
           val conf = space.random(rng)

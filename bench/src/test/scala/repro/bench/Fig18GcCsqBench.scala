@@ -16,7 +16,7 @@ class Fig18GcCsqBench extends AnyFunSuite {
   test("Fig 18: tuning shrinks CSQ time far more than CIQ time (TPC-DS)") {
     println("== Fig 18: CSQ vs CIQ execution time (TPC-DS, ARM) ==")
     Seq(100.0, 300.0, 500.0).foreach { ds =>
-      val sim = new SparkClusterSimulator(Bench.workload("TPC-DS"), c, Bench.Seed)
+      val sim = new SparkClusterSimulator(Workloads.byName("TPC-DS"), c, Bench.Seed)
       val defConf = ConfigSpace.full(true).defaults
       val perDef = sim.expectedPerQuery(defConf, ds)
       val locat = Bench.run("LOCAT", "TPC-DS", c, ds)

@@ -16,9 +16,7 @@ object RunLocat {
     val cluster = if (args.lift(2).contains("x86")) ClusterProfile.x86 else ClusterProfile.arm
     val seed = args.lift(3).map(_.toLong).getOrElse(42L)
 
-    val workload = Workloads.all.find(_.name == workloadName)
-      .getOrElse(sys.error(s"unknown workload $workloadName; known: ${Workloads.all.map(_.name).mkString(", ")}"))
-    val sim = new SparkClusterSimulator(workload, cluster, seed)
+    val sim = new SparkClusterSimulator(Workloads.byName(workloadName), cluster, seed)
     val space = ConfigSpace.full(cluster.armRanges)
 
     val result = new Locat().tune(sim, space, ds, seed)

@@ -17,8 +17,7 @@ object RunSpeedup {
     val cluster = if (args.lift(2).contains("x86")) ClusterProfile.x86 else ClusterProfile.arm
     val seed = args.lift(3).map(_.toLong).getOrElse(42L)
 
-    val workload = Workloads.all.find(_.name == workloadName)
-      .getOrElse(sys.error(s"unknown workload $workloadName"))
+    val workload = Workloads.byName(workloadName)
     val space = ConfigSpace.full(cluster.armRanges)
 
     def freshSim = new SparkClusterSimulator(workload, cluster, seed)

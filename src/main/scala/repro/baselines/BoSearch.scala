@@ -62,6 +62,6 @@ final class RandomSearch(budget: Int) extends Tuner {
     val rng = new Random(seed)
     val log = new TrialLog(objective)
     (0 until budget).foreach(_ => log.run(space.random(rng), ds))
-    log.result(name)
+    log.result()
   }
 }

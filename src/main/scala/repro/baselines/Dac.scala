@@ -39,6 +39,6 @@ final class Dac(
     // validate model-optima on the "cluster"; DAC's recommendation is the
     // best of the GA candidates (the model's output), per its protocol
     val validated = candidates.map(u => log.run(space.decode(u), ds))
-    log.result(name, validated.minBy(_.result.totalSeconds))
+    log.result(validated.minBy(_.result.totalSeconds))
   }
 }

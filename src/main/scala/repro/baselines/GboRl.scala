@@ -46,7 +46,7 @@ final class GboRl(
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
     val log = new TrialLog(objective)
     BoSearch.run(log, space, ds, new Random(seed), nInit = nInit, nIter = boIters, candidateFilter = memoryFeasible)
-    log.result(name)
+    log.result()
   }
 }
 

@@ -64,6 +64,6 @@ final class QcsaIicpGraft(
     inner.trials.foreach(t => log.record(t.copy(conf = ConfigValues(pinned ++ t.conf.values), fullApp = !useQcsa)))
 
     // verify the best configuration on the full application
-    log.result(name, log.run(ConfigValues(pinned ++ inner.bestConf.values), ds))
+    log.result(log.run(ConfigValues(pinned ++ inner.bestConf.values), ds))
   }
 }

@@ -19,9 +19,9 @@ import scala.util.Random
 final class QTuneRl(
     episodes: Int = 320,
     criticRefit: Int = 15,
-    epsilon0: Double = 0.5,
-    noise0: Double = 0.30,
 ) extends Tuner {
+  import QTuneRl._
+
   override def name: String = "QTune"
 
   override def tune(objective: TuningObjective, space: ConfigSpace, ds: Double, seed: Long): TuningResult = {
@@ -37,8 +37,8 @@ final class QTuneRl(
     var ep = 1
     while (ep < episodes) {
       val frac = ep.toDouble / episodes
-      val eps = epsilon0 * (1.0 - frac)
-      val noise = noise0 * (1.0 - 0.8 * frac)
+      val eps = Epsilon0 * (1.0 - frac)
+      val noise = Noise0 * (1.0 - 0.8 * frac)
       val action: Array[Double] =
         if (rng.nextDouble() < eps) space.randomUnit(rng)
         else critic match {
@@ -62,8 +62,14 @@ final class QTuneRl(
       ep += 1
     }
 
-    log.result(name)
+    log.result()
   }
 
   private def clamp(v: Double): Double = math.min(1.0, math.max(0.0, v))
+}
+
+object QTuneRl {
+  // Initial ε-greedy rate and actor noise; both decay over the episodes.
+  private val Epsilon0 = 0.5
+  private val Noise0 = 0.30
 }

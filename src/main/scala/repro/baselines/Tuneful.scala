@@ -41,6 +41,6 @@ final class Tuneful(
     val sub = space.subspace(significant)
     val pinned = space.defaults.values.view.filterKeys(n => !significant.contains(n)).toMap
     BoSearch.run(log, sub, ds, rng, nInit = 3, nIter = boIters, pinned = pinned)
-    log.result(name)
+    log.result()
   }
 }

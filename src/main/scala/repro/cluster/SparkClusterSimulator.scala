@@ -19,8 +19,8 @@ import scala.util.Random
   *    behind the paper's §5.8 finding that LOCAT's wins come from GC time;
   *  - task scheduling overhead (locality wait, revive interval, driver cores);
   *  - small second-order effects for the remaining Table 2 parameters;
-  *  - multiplicative lognormal noise (`noiseSd`), deterministic in the
-  *    constructor seed and call order.
+  *  - multiplicative lognormal noise, deterministic in the constructor seed
+  *    and call order.
   *
   * `run` returns noisy observations (what tuners see); `expected*` return the
   * noise-free model value (used to compare tuners' final configurations).
@@ -29,10 +29,8 @@ final class SparkClusterSimulator(
     val workload: SimWorkload,
     val cluster: ClusterProfile,
     seed: Long,
-    commonNoiseSd: Double = 0.10,
-    queryNoiseSd: Double = 0.04,
-    shuffleNoiseSd: Double = 0.12,
 ) extends TuningObjective {
+  import SparkClusterSimulator._
 
   private var calls: Long = 0L
 
@@ -48,31 +46,27 @@ final class SparkClusterSimulator(
     // this is what makes argmin-over-noisy-totals (every SOTA tuner's final
     // pick) overconfident — plus a per-query component that grows with the
     // query's shuffle intensity (stragglers, spills, fetch retries).
-    val common = math.exp(rng.nextGaussian() * commonNoiseSd)
+    val common = math.exp(rng.nextGaussian() * CommonNoiseSd)
     val perQuery = ids.map { id =>
       val q = workload.profile(id)
       val (t, gc) = queryTime(q, conf, datasizeGB)
-      val idioSd = queryNoiseSd + shuffleNoiseSd * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
+      val idioSd = QueryNoiseSd + ShuffleNoiseSd * (1.0 - math.exp(-4.0 * q.shuffleGBPerGB))
       (id -> t * common * math.exp(rng.nextGaussian() * idioSd), gc)
     }
     ExecResult(perQuery.map(_._1).toMap, perQuery.map(_._2).sum * common)
   }
 
-  /** Noise-free total time of a query subset. */
-  def expectedTotal(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): Double = {
-    val ids = subset.getOrElse(workload.queryIds)
-    ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._1).sum
-  }
+  /** Noise-free total time of the full application. */
+  def expectedTotal(conf: ConfigValues, datasizeGB: Double): Double =
+    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._1).sum
 
   /** Noise-free per-query times. */
   def expectedPerQuery(conf: ConfigValues, datasizeGB: Double): Map[String, Double] =
     workload.queryIds.map(id => id -> queryTime(workload.profile(id), conf, datasizeGB)._1).toMap
 
-  /** Noise-free total GC seconds. */
-  def expectedGc(conf: ConfigValues, datasizeGB: Double, subset: Option[Seq[String]] = None): Double = {
-    val ids = subset.getOrElse(workload.queryIds)
-    ids.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum
-  }
+  /** Noise-free total GC seconds of the full application. */
+  def expectedGc(conf: ConfigValues, datasizeGB: Double): Double =
+    workload.queryIds.map(id => queryTime(workload.profile(id), conf, datasizeGB)._2).sum
 
   // ---------------------------------------------------------------- model --
 
@@ -214,4 +208,12 @@ final class SparkClusterSimulator(
     val startupSec = 1.5 + execs * 0.002
     (q.serialSec + startupSec + computeSec * m + schedSec + gcSec, gcSec)
   }
+}
+
+object SparkClusterSimulator {
+  // Lognormal noise sds: run-wide, per query, and the extra per-query share
+  // that a fully shuffle-bound query adds.
+  private val CommonNoiseSd = 0.10
+  private val QueryNoiseSd = 0.04
+  private val ShuffleNoiseSd = 0.12
 }

@@ -145,6 +145,11 @@ object Workloads {
   /** The five applications of Table 1, in the paper's order. */
   val all: Seq[SimWorkload] = Seq(tpcds, tpch, hibenchJoin, hibenchScan, hibenchAggregation)
 
+  /** The application of Table 1 named `name`; the error lists the known names. */
+  def byName(name: String): SimWorkload =
+    all.find(_.name == name)
+      .getOrElse(sys.error(s"unknown workload $name; known: ${all.map(_.name).mkString(", ")}"))
+
   /** Table 1's input data sizes, in GB. */
   val datasizesGB: Seq[Double] = Seq(100.0, 200.0, 300.0, 400.0, 500.0)
 }

@@ -135,7 +135,7 @@ final class LocatSession(
     val (_, model) = fitRqaWindow()
     val best = rqaSamples.filter(_.obs.datasizeGB == ds)
       .minBy(s => model.predict(Dagp.inputVec(s.obs.features, ds))._1)
-    log.result("LOCAT", log.run(best.conf, ds))
+    log.result(log.run(best.conf, ds))
   }
 
   /** Full LOCAT procedure for the first (or only) datasize. */

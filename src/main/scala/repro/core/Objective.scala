@@ -61,8 +61,8 @@ final class TrialLog(objective: TuningObjective) {
   def best: Trial = all.minBy(_.result.totalSeconds)
 
   /** Result that recommends `chosen`, with the whole history and its cost. */
-  def result(tunerName: String, chosen: Trial = best): TuningResult =
-    TuningResult(tunerName, chosen.conf, chosen.result.totalSeconds, cost, all)
+  def result(chosen: Trial = best): TuningResult =
+    TuningResult(chosen.conf, chosen.result.totalSeconds, cost, all)
 }
 
 /** Outcome of a tuning session.
@@ -75,7 +75,6 @@ final class TrialLog(objective: TuningObjective) {
   * @param trials          full history
   */
 final case class TuningResult(
-    tunerName: String,
     bestConf: ConfigValues,
     bestTimeSeconds: Double,
     optimizationSeconds: Double,

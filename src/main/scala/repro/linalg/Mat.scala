@@ -158,22 +158,23 @@ object Mat {
   /** Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
     *
     * Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue;
-    * eigenvector k is column k of the returned matrix.
+    * eigenvector k is column k of the returned matrix. Sweeps stop once the
+    * off-diagonal norm falls below `JacobiTol`, or after `JacobiMaxSweeps`.
     */
-  def jacobiEigSym(aIn: Mat, maxSweeps: Int = 64, tol: Double = 1e-12): (Array[Double], Mat) = {
+  def jacobiEigSym(aIn: Mat): (Array[Double], Mat) = {
     require(aIn.rows == aIn.cols, "jacobiEigSym needs a square matrix")
     val n = aIn.rows
     val a = aIn.copy
     val v = eye(n)
     var sweep = 0
     var off = offDiagNorm(a)
-    while (sweep < maxSweeps && off > tol) {
+    while (sweep < JacobiMaxSweeps && off > JacobiTol) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1
         while (q < n) {
           val apq = a(p, q)
-          if (math.abs(apq) > tol * 1e-3) {
+          if (math.abs(apq) > JacobiTol * 1e-3) {
             val app = a(p, p); val aqq = a(q, q)
             val theta = 0.5 * (aqq - app) / apq
             val t = math.signum(theta) / (math.abs(theta) + math.sqrt(theta * theta + 1.0))
@@ -221,6 +222,9 @@ object Mat {
     }
     (sortedVals, sortedVecs)
   }
+
+  private val JacobiMaxSweeps = 64
+  private val JacobiTol = 1e-12
 
   private def offDiagNorm(a: Mat): Double = {
     var s = 0.0; var i = 0

@@ -63,6 +63,17 @@ class SimulatorSpec extends AnyFunSuite {
     assert(a.perQuerySeconds == b.perQuerySeconds)
   }
 
+  test("pinned outputs: one seeded run and the noise-free defaults") {
+    def near(got: Double, want: Double): Boolean = math.abs(got - want) <= 1e-12 * want
+    val s = sim(seed = 42)
+    val r = s.run(goodConf, 300.0, Some(Seq("Q72", "Q04", "Q09")))
+    val want = Map("Q72" -> 171.77343152949967, "Q04" -> 293.2469832813137, "Q09" -> 40.699224483940625)
+    want.foreach { case (q, t) => assert(near(r.perQuerySeconds(q), t), s"$q=${r.perQuerySeconds(q)}") }
+    assert(near(r.gcSeconds, 54.367135010601785), s"gc=${r.gcSeconds}")
+    assert(near(s.expectedTotal(armSpace.defaults, 300.0), 24327.16467240991))
+    assert(near(s.expectedGc(armSpace.defaults, 300.0), 8918.08840714978))
+  }
+
   test("subset runs only the requested queries and costs less") {
     val s = sim()
     val sub = s.run(goodConf, 100.0, Some(Seq("Q72", "Q29")))

@@ -25,9 +25,9 @@ class TrialLogSpec extends AnyFunSuite {
     val fast = log.run(obj.space.defaults.updated("knob.one", 100), 100.0)
     log.record(fast.copy(fullApp = false))
     assert(log.best eq fast)
-    val r = log.result("T")
+    val r = log.result()
     assert(r.bestConf == fast.conf && r.bestTimeSeconds == fast.result.totalSeconds)
     assert(r.optimizationSeconds == log.cost && r.trials.size == 3)
-    assert(log.result("T", slow).bestConf == slow.conf)
+    assert(log.result(slow).bestConf == slow.conf)
   }
 }
